@@ -4,28 +4,31 @@
     {e where}, preserving existing placements so that the engine's
     location diff charges exactly one reconfiguration per newly placed
     copy. Each wanted color is cached in [copies] locations (Section 3.1
-    replicates every cached color in two locations; Seq-EDF uses one). *)
+    replicates every cached color in two locations; Seq-EDF uses one).
+    Colors are plain ints, [-1] marking an unconfigured or inactive
+    location, as in {!Rrs_sim.Policy}. *)
 
-(** [place ~n ~copies ~current ~want ()] is a target assignment of length
-    [n] in which every color of [want] occupies exactly [copies] locations
-    and all other locations are inactive ([None]).
+(** Per-color copy counters, reused by every {!place}. *)
+type t
 
-    Locations already holding a wanted color are kept (up to [copies]);
-    missing copies go to the lowest-index locations not otherwise used.
+val create : num_colors:int -> t
 
-    [into] is an optional reusable buffer of length [n]: it is cleared,
-    filled and returned instead of allocating a fresh array. Policies pass
-    their own scratch buffer here so the per-mini-round target costs no
-    allocation; the engine never retains the returned array across
-    mini-rounds, so reuse is safe.
+(** [place t ~copies ~current ~want ~len ~target] fills [target]
+    (length [n], the number of locations) with an assignment in which
+    every color of [want.(0 .. len-1)] occupies exactly [copies]
+    locations and all other locations are inactive ([-1]).
 
-    @raise Invalid_argument if [want] has duplicates, [copies * |want| > n],
-    or [into] has a length other than [n]. *)
+    Locations whose [current] color is wanted are kept (up to [copies]);
+    missing copies go to the lowest-index locations not otherwise used,
+    colors taken in [want] order.
+
+    @raise Invalid_argument if [want] has duplicates,
+    [copies * len > n], or [current] and [target] differ in length. *)
 val place :
-  ?into:Rrs_sim.Types.color option array ->
-  n:int ->
+  t ->
   copies:int ->
-  current:Rrs_sim.Types.color option array ->
-  want:Rrs_sim.Types.color list ->
-  unit ->
-  Rrs_sim.Types.color option array
+  current:Rrs_sim.Types.color array ->
+  want:Rrs_sim.Types.color array ->
+  len:int ->
+  target:Rrs_sim.Types.color array ->
+  unit

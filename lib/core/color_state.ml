@@ -1,4 +1,5 @@
 module Types = Rrs_sim.Types
+module Job_pool = Rrs_sim.Job_pool
 
 type color_info = {
   mutable cnt : int;
@@ -18,7 +19,8 @@ type t = {
   delta : int;
   bounds : int array;
   info : color_info array;
-  boundary_groups : (int * int list) list; (* (bound, colors with that bound) *)
+  group_bounds : int array; (* the distinct bounds, ascending *)
+  group_colors : int array array; (* colors of each bound, ascending *)
   mutable wraps : int;
   mutable timestamp_updates : int;
   mutable timestamp_event_log : (int * int) list; (* reverse chronological *)
@@ -52,12 +54,14 @@ let create ?(record_timestamp_events = false) ?on_timestamp ~delta ~bounds () =
   let boundary_groups =
     Hashtbl.fold (fun bound colors acc -> (bound, List.rev colors) :: acc) groups []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> Array.of_list
   in
   {
     delta;
     bounds;
     info = Array.init num_colors (fun _ -> fresh_info ());
-    boundary_groups;
+    group_bounds = Array.map fst boundary_groups;
+    group_colors = Array.map (fun (_, colors) -> Array.of_list colors) boundary_groups;
     wraps = 0;
     timestamp_updates = 0;
     timestamp_event_log = [];
@@ -74,9 +78,16 @@ let deadline t color = t.info.(color).dd
    Wraps happen only at multiples of the bound, so the two most recent
    wrap rounds suffice: [last_wrap <= k] always, with equality exactly
    when the wrap happened at boundary [k] itself. *)
+(* The most recent multiple of the color's bound: a mask for the usual
+   power-of-two bounds, a division otherwise. *)
+let last_boundary t color ~round =
+  let bound = t.bounds.(color) in
+  if bound land (bound - 1) = 0 then round land lnot (bound - 1)
+  else round - (round mod bound)
+
 let timestamp t color ~round =
   let info = t.info.(color) in
-  let k = round - (round mod t.bounds.(color)) in
+  let k = last_boundary t color ~round in
   if info.last_wrap >= 0 && info.last_wrap < k then info.last_wrap
   else if info.prev_wrap >= 0 then info.prev_wrap
   else 0
@@ -86,7 +97,7 @@ let timestamp t color ~round =
    the ΔLRU notion of a reference = a counter wrap). *)
 let timestamp2 t color ~round =
   let info = t.info.(color) in
-  let k = round - (round mod t.bounds.(color)) in
+  let k = last_boundary t color ~round in
   if info.last_wrap >= 0 && info.last_wrap < k then
     if info.prev_wrap >= 0 then info.prev_wrap else 0
   else if info.prev_wrap >= 0 then
@@ -109,39 +120,37 @@ let note_timestamp t color ~round =
     | Some hook -> hook ~round ~color
   end
 
-let iter_boundary_colors t ~round f =
-  List.iter
-    (fun (bound, colors) -> if round mod bound = 0 then List.iter f colors)
-    t.boundary_groups
-
-let on_drop t ~round ~dropped ~in_cache =
+let on_drop t ~round ~(dropped : Job_pool.drops) ~in_cache =
   (* Classify this round's drops with pre-reset eligibility. *)
-  List.iter
-    (fun (color, count) ->
-      let info = t.info.(color) in
-      if info.eligible then info.eligible_drops <- info.eligible_drops + count
-      else info.ineligible_drops <- info.ineligible_drops + count)
-    dropped;
+  for i = 0 to dropped.length - 1 do
+    let color = dropped.colors.(i) in
+    let count = dropped.jobs.(color) in
+    let info = t.info.(color) in
+    if info.eligible then info.eligible_drops <- info.eligible_drops + count
+    else info.ineligible_drops <- info.ineligible_drops + count
+  done;
   (* Boundary resets: an eligible, uncached color becomes ineligible and
      its counter resets — the end of an epoch. *)
-  iter_boundary_colors t ~round (fun color ->
-      let info = t.info.(color) in
-      if info.eligible && not (in_cache color) then begin
-        info.eligible <- false;
-        info.cnt <- 0;
-        info.epochs_ended <- info.epochs_ended + 1;
-        info.active_in_epoch <- false
-      end)
+  for g = 0 to Array.length t.group_bounds - 1 do
+    if round mod t.group_bounds.(g) = 0 then begin
+      let colors = t.group_colors.(g) in
+      for i = 0 to Array.length colors - 1 do
+        let color = colors.(i) in
+        let info = t.info.(color) in
+        if info.eligible && not (in_cache color) then begin
+          info.eligible <- false;
+          info.cnt <- 0;
+          info.epochs_ended <- info.epochs_ended + 1;
+          info.active_in_epoch <- false
+        end
+      done
+    end
+  done
 
-let on_arrival t ~round ~request =
-  (* Every color at its boundary refreshes its deadline. *)
-  iter_boundary_colors t ~round (fun color ->
-      let info = t.info.(color) in
-      info.dd <- round + t.bounds.(color);
-      note_timestamp t color ~round);
-  (* Arriving jobs update counters; a wrap makes the color eligible. *)
-  List.iter
-    (fun (color, count) ->
+(* Arriving jobs update counters; a wrap makes the color eligible. *)
+let rec count_arrivals t ~round = function
+  | [] -> ()
+  | (color, count) :: rest ->
       let info = t.info.(color) in
       if count > 0 then begin
         info.active_in_epoch <- true;
@@ -154,15 +163,32 @@ let on_arrival t ~round ~request =
           t.wraps <- t.wraps + 1;
           if not info.eligible then info.eligible <- true
         end
-      end)
-    request
+      end;
+      count_arrivals t ~round rest
 
-let eligible_colors t =
-  let acc = ref [] in
-  for color = num_colors t - 1 downto 0 do
-    if t.info.(color).eligible then acc := color :: !acc
+let on_arrival t ~round ~request =
+  (* Every color at its boundary refreshes its deadline. *)
+  for g = 0 to Array.length t.group_bounds - 1 do
+    if round mod t.group_bounds.(g) = 0 then begin
+      let colors = t.group_colors.(g) in
+      for i = 0 to Array.length colors - 1 do
+        let color = colors.(i) in
+        t.info.(color).dd <- round + t.bounds.(color);
+        note_timestamp t color ~round
+      done
+    end
   done;
-  !acc
+  count_arrivals t ~round request
+
+let fill_eligible t dst =
+  let count = ref 0 in
+  for color = 0 to num_colors t - 1 do
+    if t.info.(color).eligible then begin
+      dst.(!count) <- color;
+      incr count
+    end
+  done;
+  !count
 
 let stats t =
   let epochs = ref 0 and eligible_drops = ref 0 and ineligible_drops = ref 0 in

@@ -37,14 +37,16 @@ val create :
 
 val num_colors : t -> int
 
-(** Drop-phase hook. [dropped] is the engine's per-color drop counts for
-    this round; [in_cache] reports current cache membership (the policy's
-    own cached set). Dropped jobs are classified eligible/ineligible by
-    the color's eligibility {e before} any reset this round. *)
+(** Drop-phase hook. [dropped] is the engine's drop buffer for this
+    round; [in_cache] reports current cache membership (the policy's own
+    cached set — pass a closure built once, not per call, to keep the
+    round allocation-free). Dropped jobs are classified
+    eligible/ineligible by the color's eligibility {e before} any reset
+    this round. *)
 val on_drop :
   t ->
   round:int ->
-  dropped:(Rrs_sim.Types.color * int) list ->
+  dropped:Rrs_sim.Job_pool.drops ->
   in_cache:(Rrs_sim.Types.color -> bool) ->
   unit
 
@@ -67,8 +69,10 @@ val timestamp : t -> Rrs_sim.Types.color -> round:int -> int
     used by the {!Policy_lru_k} baseline. *)
 val timestamp2 : t -> Rrs_sim.Types.color -> round:int -> int
 
-(** Currently eligible colors, ascending. *)
-val eligible_colors : t -> Rrs_sim.Types.color list
+(** [fill_eligible t dst] writes the currently eligible colors into
+    [dst] (length at least {!num_colors}), ascending, and returns how
+    many there are. *)
+val fill_eligible : t -> Rrs_sim.Types.color array -> int
 
 (** Counters for experiments: ["epochs"] (ended + active incomplete),
     ["wraps"], ["timestamp_updates"], ["eligible_drops"],

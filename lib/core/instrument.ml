@@ -24,35 +24,56 @@ let wraps stats = stat stats "wraps"
     events have been tracked — unlike the full event log. *)
 type tracker = {
   watermark : int;
-  seen : (int, unit) Hashtbl.t;
+  mutable seen : bool array; (* colors seen in the open super-epoch *)
+  members : int array; (* the same colors, in first-seen order *)
+  mutable count : int;
   mutable complete : int;
 }
 
 let tracker ~watermark =
   if watermark < 1 then invalid_arg "Instrument.tracker: watermark < 1";
-  { watermark; seen = Hashtbl.create 16; complete = 0 }
+  {
+    watermark;
+    seen = Array.make 16 false;
+    members = Array.make watermark 0;
+    count = 0;
+    complete = 0;
+  }
 
 let track t ~color =
-  if not (Hashtbl.mem t.seen color) then begin
-    Hashtbl.replace t.seen color ();
-    if Hashtbl.length t.seen >= t.watermark then begin
+  if color >= Array.length t.seen then begin
+    let seen = Array.make (max (color + 1) (2 * Array.length t.seen)) false in
+    Array.blit t.seen 0 seen 0 (Array.length t.seen);
+    t.seen <- seen
+  end;
+  if not t.seen.(color) then begin
+    t.seen.(color) <- true;
+    t.members.(t.count) <- color;
+    t.count <- t.count + 1;
+    if t.count >= t.watermark then begin
       t.complete <- t.complete + 1;
-      Hashtbl.reset t.seen
+      for i = 0 to t.count - 1 do
+        t.seen.(t.members.(i)) <- false
+      done;
+      t.count <- 0
     end
   end
 
-let tracker_count t = t.complete + (if Hashtbl.length t.seen > 0 then 1 else 0)
+let tracker_count t = t.complete + (if t.count > 0 then 1 else 0)
 
 (* State accessors for policy serialization. *)
 let tracker_complete t = t.complete
 
 let tracker_seen t =
-  Hashtbl.fold (fun color () acc -> color :: acc) t.seen [] |> List.sort Int.compare
+  List.sort Int.compare (List.init t.count (fun i -> t.members.(i)))
 
 let tracker_restore t ~complete ~seen =
   t.complete <- complete;
-  Hashtbl.reset t.seen;
-  List.iter (fun color -> Hashtbl.replace t.seen color ()) seen
+  for i = 0 to t.count - 1 do
+    t.seen.(t.members.(i)) <- false
+  done;
+  t.count <- 0;
+  List.iter (fun color -> track t ~color) seen
 
 (** Count super-epochs from a full chronological event log (the batch
     form of {!tracker}). *)

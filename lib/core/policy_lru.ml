@@ -6,61 +6,67 @@
     may pin idle recently-used colors and starve a long-bound color with
     many pending jobs (Appendix A); implemented as a baseline. *)
 
-module Types = Rrs_sim.Types
 module Topk = Rrs_ds.Topk
 
 type t = {
-  n : int;
   state : Color_state.t;
-  cached : (Types.color, unit) Hashtbl.t;
-  target : Types.color option array; (* reusable reconfigure buffer *)
+  ranking : Ranking.t;
+  cached : Color_set.t;
+  in_cache : int -> bool;
+  layout : Cache_layout.t;
+  eligible : int array; (* scratch, per reconfigure *)
+  keys : int array; (* rank key per color *)
+  want : int array; (* the selected colors, best first *)
 }
 
 let name = "dlru"
 
 let create ~n ~delta ~bounds =
+  let num_colors = Array.length bounds in
+  let cached = Color_set.create ~num_colors in
   {
-    n;
     state = Color_state.create ~delta ~bounds ();
-    cached = Hashtbl.create 16;
-    target = Array.make n None;
+    ranking = Ranking.create ~bounds;
+    cached;
+    in_cache = Color_set.mem cached;
+    layout = Cache_layout.create ~num_colors;
+    eligible = Array.make num_colors 0;
+    keys = Array.make num_colors 0;
+    want = Array.make (max 0 (n / 2)) 0;
   }
 
 let on_drop t ~round ~dropped =
-  Color_state.on_drop t.state ~round ~dropped ~in_cache:(Hashtbl.mem t.cached)
+  Color_state.on_drop t.state ~round ~dropped ~in_cache:t.in_cache
 
 let on_arrival t ~round ~request = Color_state.on_arrival t.state ~round ~request
 
-let reconfigure t (view : Rrs_sim.Policy.view) =
-  let capacity = t.n / 2 in
-  let want =
-    Topk.select_list
-      ~compare:(Ranking.lru_compare t.state ~round:view.round)
-      ~k:capacity
-      (Color_state.eligible_colors t.state)
+let reconfigure t (view : Rrs_sim.Policy.view) ~target =
+  let eligible = Color_state.fill_eligible t.state t.eligible in
+  for i = 0 to eligible - 1 do
+    let color = t.eligible.(i) in
+    t.keys.(color) <- Ranking.lru_key t.ranking t.state ~round:view.round color
+  done;
+  let len =
+    Topk.select ~keys:t.keys ~k:(view.n / 2) t.eligible ~len:eligible t.want
   in
-  Hashtbl.reset t.cached;
-  List.iter (fun color -> Hashtbl.replace t.cached color ()) want;
-  Cache_layout.place ~into:t.target ~n:t.n ~copies:2 ~current:view.assignment
-    ~want ()
+  Color_set.clear t.cached;
+  for i = 0 to len - 1 do
+    Color_set.add t.cached t.want.(i)
+  done;
+  Cache_layout.place t.layout ~copies:2 ~current:view.assignment ~want:t.want
+    ~len ~target
 
-let stats t = ("cached", Hashtbl.length t.cached) :: Color_state.stats t.state
+let stats t = ("cached", Color_set.cardinal t.cached) :: Color_state.stats t.state
 
 module Json = Rrs_sim.Event_sink.Json
 
-let cached_list cached =
-  Hashtbl.fold (fun color () acc -> color :: acc) cached []
-  |> List.sort Int.compare
-
 let serialize t =
   Printf.sprintf "{\"cached\":%s,%s}"
-    (Json.ints (cached_list t.cached))
+    (Json.ints (Color_set.to_list t.cached))
     (Color_state.serialize_fields t.state)
 
 let deserialize t blob =
   let fields = Json.parse_fields blob in
   Color_state.deserialize_fields t.state fields;
-  Hashtbl.reset t.cached;
-  Array.iter
-    (fun color -> Hashtbl.replace t.cached color ())
-    (Json.ints_field fields "cached")
+  Color_set.clear t.cached;
+  Array.iter (Color_set.add t.cached) (Json.ints_field fields "cached")

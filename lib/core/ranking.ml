@@ -1,35 +1,49 @@
 module Job_pool = Rrs_sim.Job_pool
 
-let edf_compare state pool ~bounds a b =
-  let nonidle_a = Job_pool.nonidle pool a in
-  let nonidle_b = Job_pool.nonidle pool b in
-  if nonidle_a <> nonidle_b then compare nonidle_b nonidle_a (* nonidle first *)
-  else
-    let by_deadline =
-      Int.compare (Color_state.deadline state a) (Color_state.deadline state b)
-    in
-    if by_deadline <> 0 then by_deadline
-    else
-      let by_bound = Int.compare bounds.(a) bounds.(b) in
-      if by_bound <> 0 then by_bound else Int.compare a b
+(* Every key is [major * colors + minor] with [minor < colors]: the
+   color id itself, or the color's static (bound, color) rank. *)
+type t = {
+  colors : int;
+  tiebreak : int array; (* rank of (bounds.(c), c) among all colors *)
+  deadline_limit : int; (* EDF deadlines must stay below this *)
+}
 
-let lru_compare state ~round a b =
-  let by_timestamp =
-    Int.compare
-      (Color_state.timestamp state b ~round)
-      (Color_state.timestamp state a ~round)
-    (* larger timestamp = more recent = better *)
-  in
-  if by_timestamp <> 0 then by_timestamp else Int.compare a b
+let create ~bounds =
+  let colors = Array.length bounds in
+  let order = Array.init colors Fun.id in
+  Array.stable_sort (fun a b -> Int.compare bounds.(a) bounds.(b)) order;
+  let tiebreak = Array.make colors 0 in
+  Array.iteri (fun rank color -> tiebreak.(color) <- rank) order;
+  { colors; tiebreak; deadline_limit = max_int / (2 * max 1 colors) }
 
-let job_compare pool ~bounds a b =
-  let deadline color =
-    match Job_pool.earliest_deadline pool color with
-    | Some d -> d
-    | None -> invalid_arg "Ranking.job_compare: idle color"
-  in
-  let by_deadline = Int.compare (deadline a) (deadline b) in
-  if by_deadline <> 0 then by_deadline
-  else
-    let by_bound = Int.compare bounds.(a) bounds.(b) in
-    if by_bound <> 0 then by_bound else Int.compare a b
+let too_large what value =
+  invalid_arg (Printf.sprintf "Ranking: %s %d too large for a rank key" what value)
+
+let edf_key t state pool color =
+  let deadline = Color_state.deadline state color in
+  if deadline >= t.deadline_limit then too_large "deadline" deadline;
+  let idle = if Job_pool.nonidle pool color then 0 else t.deadline_limit in
+  ((idle + deadline) * t.colors) + t.tiebreak.(color)
+
+(* Larger timestamp = more recent = better. *)
+let lru_key t state ~round color =
+  (-Color_state.timestamp state color ~round * t.colors) + color
+
+let job_key t pool color =
+  let deadline = Job_pool.earliest_deadline pool color in
+  if deadline >= t.deadline_limit then too_large "deadline" deadline;
+  (deadline * t.colors) + t.tiebreak.(color)
+
+let worst_edf t state pool set =
+  let worst = ref (-1) and worst_key = ref min_int in
+  for color = 0 to t.colors - 1 do
+    if Color_set.mem set color then begin
+      let key = edf_key t state pool color in
+      if key > !worst_key then begin
+        worst := color;
+        worst_key := key
+      end
+    end
+  done;
+  if !worst < 0 then invalid_arg "Ranking.worst_edf: empty set";
+  !worst

@@ -12,85 +12,79 @@
     jobs never wraps, so a gated reference would drop jobs Par-EDF
     executes. *)
 
-module Types = Rrs_sim.Types
 module Job_pool = Rrs_sim.Job_pool
 module Topk = Rrs_ds.Topk
 
 type t = {
-  n : int;
-  num_colors : int;
   state : Color_state.t; (* deadlines update at boundaries for all colors *)
-  cached : (Types.color, unit) Hashtbl.t;
-  target : Types.color option array; (* reusable reconfigure buffer *)
+  ranking : Ranking.t;
+  cached : Color_set.t;
+  in_cache : int -> bool;
+  layout : Cache_layout.t;
+  colors : int array; (* every color, ascending: the candidates *)
+  keys : int array; (* rank key per color *)
+  top : int array; (* the best-ranked colors *)
+  want : int array; (* the cached set in placement order *)
   mutable evictions : int;
 }
 
 let name = "seq-edf"
 
-let create ~n ~delta ~bounds =
+let create ~n:_ ~delta ~bounds =
+  let num_colors = Array.length bounds in
+  let cached = Color_set.create ~num_colors in
   {
-    n;
-    num_colors = Array.length bounds;
     state = Color_state.create ~delta ~bounds ();
-    cached = Hashtbl.create 16;
-    target = Array.make n None;
+    ranking = Ranking.create ~bounds;
+    cached;
+    in_cache = Color_set.mem cached;
+    layout = Cache_layout.create ~num_colors;
+    colors = Array.init num_colors Fun.id;
+    keys = Array.make num_colors 0;
+    top = Array.make num_colors 0;
+    want = Array.make num_colors 0;
     evictions = 0;
   }
 
 let on_drop t ~round ~dropped =
-  Color_state.on_drop t.state ~round ~dropped ~in_cache:(Hashtbl.mem t.cached)
+  Color_state.on_drop t.state ~round ~dropped ~in_cache:t.in_cache
 
 let on_arrival t ~round ~request = Color_state.on_arrival t.state ~round ~request
 
-let worst_cached t ~compare =
-  Hashtbl.fold
-    (fun color () worst ->
-      match worst with
-      | None -> Some color
-      | Some w -> if compare color w > 0 then Some color else worst)
-    t.cached None
-
-let reconfigure t (view : Rrs_sim.Policy.view) =
-  let capacity = t.n in
-  let compare = Ranking.edf_compare t.state view.pool ~bounds:view.bounds in
+let reconfigure t (view : Rrs_sim.Policy.view) ~target =
+  let capacity = view.n in
+  let pool = view.pool in
+  let num_colors = Array.length t.colors in
   (* All colors are candidates: no eligibility gate. *)
-  let top =
-    Topk.select ~compare ~k:capacity (fun f ->
-        for color = 0 to t.num_colors - 1 do
-          f color
-        done)
-  in
-  List.iter
-    (fun color ->
-      if Job_pool.nonidle view.pool color && not (Hashtbl.mem t.cached color) then begin
-        Hashtbl.replace t.cached color ();
-        if Hashtbl.length t.cached > capacity then begin
-          match worst_cached t ~compare with
-          | Some worst ->
-              Hashtbl.remove t.cached worst;
-              t.evictions <- t.evictions + 1
-          | None -> assert false
-        end
-      end)
-    top;
-  let want = Hashtbl.fold (fun color () acc -> color :: acc) t.cached [] in
-  Cache_layout.place ~into:t.target ~n:t.n ~copies:1 ~current:view.assignment
-    ~want ()
+  for color = 0 to num_colors - 1 do
+    t.keys.(color) <- Ranking.edf_key t.ranking t.state pool color
+  done;
+  let top = Topk.select ~keys:t.keys ~k:capacity t.colors ~len:num_colors t.top in
+  for i = 0 to top - 1 do
+    let color = t.top.(i) in
+    if Job_pool.nonidle pool color && not (Color_set.mem t.cached color) then begin
+      Color_set.add t.cached color;
+      if Color_set.cardinal t.cached > capacity then begin
+        Color_set.remove t.cached
+          (Ranking.worst_edf t.ranking t.state pool t.cached);
+        t.evictions <- t.evictions + 1
+      end
+    end
+  done;
+  let len = Color_set.fill_table_order t.cached t.want ~from:0 in
+  Cache_layout.place t.layout ~copies:1 ~current:view.assignment ~want:t.want
+    ~len ~target
 
 let stats t =
-  ("cached", Hashtbl.length t.cached)
+  ("cached", Color_set.cardinal t.cached)
   :: ("evictions", t.evictions)
   :: Color_state.stats t.state
 
 module Json = Rrs_sim.Event_sink.Json
 
-let cached_list cached =
-  Hashtbl.fold (fun color () acc -> color :: acc) cached []
-  |> List.sort Int.compare
-
 let serialize t =
   Printf.sprintf "{\"cached\":%s,\"evictions\":%d,%s}"
-    (Json.ints (cached_list t.cached))
+    (Json.ints (Color_set.to_list t.cached))
     t.evictions
     (Color_state.serialize_fields t.state)
 
@@ -98,7 +92,5 @@ let deserialize t blob =
   let fields = Json.parse_fields blob in
   Color_state.deserialize_fields t.state fields;
   t.evictions <- Json.int_field fields "evictions";
-  Hashtbl.reset t.cached;
-  Array.iter
-    (fun color -> Hashtbl.replace t.cached color ())
-    (Json.ints_field fields "cached")
+  Color_set.clear t.cached;
+  Array.iter (Color_set.add t.cached) (Json.ints_field fields "cached")

@@ -1,26 +1,20 @@
-(* A size-k max-heap (reversed comparison) of the best elements seen so
-   far: a new element replaces the heap root when it beats the current
-   worst of the best. *)
-
-let select (type a) ~(compare : a -> a -> int) ~k iter =
-  if k <= 0 then []
-  else begin
-    let module Max = Binary_heap.Make (struct
-      type t = a
-
-      let compare x y = compare y x
-    end) in
-    let heap = Max.create ~capacity:(k + 1) () in
-    let consider x =
-      if Max.length heap < k then Max.push heap x
-      else if compare x (Max.peek_min heap) < 0 then begin
-        ignore (Max.pop_min heap);
-        Max.push heap x
+let select ~(keys : int array) ~k (src : int array) ~len (dst : int array) =
+  let k = if k < len then k else len in
+  let m = ref 0 in
+  if k > 0 then
+    for i = 0 to len - 1 do
+      let x = src.(i) in
+      let key = keys.(x) in
+      if !m < k || key < keys.(dst.(k - 1)) then begin
+        (* Shift the worse entries right (the last one falls off when
+           the prefix is full) and drop [x] into the gap. *)
+        let j = ref (if !m < k then !m else k - 1) in
+        while !j > 0 && keys.(dst.(!j - 1)) > key do
+          dst.(!j) <- dst.(!j - 1);
+          decr j
+        done;
+        dst.(!j) <- x;
+        if !m < k then incr m
       end
-    in
-    iter consider;
-    (* The max-heap's sorted order is descending under [compare]. *)
-    List.rev (Max.to_sorted_list heap)
-  end
-
-let select_list ~compare ~k xs = select ~compare ~k (fun f -> List.iter f xs)
+    done;
+  !m

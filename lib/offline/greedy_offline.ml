@@ -97,8 +97,8 @@ let run ~m (instance : Instance.t) =
       | None -> ()
       | Some color -> (
           match Job_pool.execute_one pool ~color ~round with
-          | None -> ()
-          | Some _ ->
+          | -1 -> ()
+          | _ ->
               actions :=
                 Rebuild.Run { round; mini_round = 0; location = k; color }
                 :: !actions)

@@ -8,7 +8,7 @@ let phase_names = Stepper.phase_names
 type result = Stepper.result = {
   ledger : Ledger.t;
   stats : (string * int) list;
-  final_assignment : Types.color option array;
+  final_assignment : Types.color array;
   profile : Rrs_obs.Profile.t option;
 }
 

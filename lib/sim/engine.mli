@@ -43,7 +43,7 @@ type result = Stepper.result = {
   ledger : Ledger.t;
   stats : (string * int) list;
       (* policy-reported counters, then the probe snapshot (if any) *)
-  final_assignment : Types.color option array;
+  final_assignment : Types.color array; (** -1 = unconfigured *)
   profile : Rrs_obs.Profile.t option;
 }
 

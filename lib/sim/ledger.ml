@@ -29,27 +29,50 @@ let create ?(record_events = true) ?sink ~delta () =
 
 let sink t = t.sink
 
+(* Events are built only for a sink that keeps them: a [Null] sink
+   costs the counters and nothing else. *)
+let color_opt color = if color < 0 then None else Some color
+
 let record_reconfig t ~round ~mini_round ~location ~previous ~next =
   t.reconfigs <- t.reconfigs + 1;
-  Event_sink.record t.sink
-    (Reconfig { round; mini_round; location; previous; next })
+  match t.sink with
+  | Event_sink.Null -> ()
+  | sink ->
+      Event_sink.record sink
+        (Reconfig
+           { round; mini_round; location; previous = color_opt previous; next })
 
 let record_failed_reconfig t ~round ~mini_round ~location ~previous ~attempted =
   (* A failed Configure still pays Delta, so it counts as a reconfig. *)
   t.reconfigs <- t.reconfigs + 1;
   t.failed <- t.failed + 1;
-  Event_sink.record t.sink
-    (Reconfig_failed { round; mini_round; location; previous; attempted })
+  match t.sink with
+  | Event_sink.Null -> ()
+  | sink ->
+      Event_sink.record sink
+        (Reconfig_failed
+           {
+             round;
+             mini_round;
+             location;
+             previous = color_opt previous;
+             attempted;
+           })
 
 let record_drop t ~round ~color ~count =
   if count < 0 then invalid_arg "Ledger.record_drop: negative count";
   t.drops <- t.drops + count;
-  if count > 0 then Event_sink.record t.sink (Drop { round; color; count })
+  match t.sink with
+  | Event_sink.Null -> ()
+  | sink -> if count > 0 then Event_sink.record sink (Drop { round; color; count })
 
 let record_execute t ~round ~mini_round ~location ~color ~deadline =
   t.execs <- t.execs + 1;
-  Event_sink.record t.sink
-    (Execute { round; mini_round; location; color; deadline })
+  match t.sink with
+  | Event_sink.Null -> ()
+  | sink ->
+      Event_sink.record sink
+        (Execute { round; mini_round; location; color; deadline })
 
 let record_crash t ~round ~location =
   Event_sink.record t.sink (Crash { round; location })

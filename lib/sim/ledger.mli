@@ -4,7 +4,8 @@
     [total_cost = delta * reconfigurations + drops]. Events are routed to
     an {!Event_sink.t}: a [Memory] sink retains them for the schedule
     validator, a [Jsonl] sink streams them with bounded resident memory,
-    and [Null] discards them — the counters are maintained regardless.
+    and [Null] discards them — the counters are maintained regardless,
+    and with [Null] no event value is built at all.
 
     Fault accounting: a {e failed} reconfiguration (the fault plan made a
     Configure pay [Delta] without taking effect) is included in
@@ -34,16 +35,18 @@ val create : ?record_events:bool -> ?sink:Event_sink.t -> delta:int -> unit -> t
 (** The sink events are routed to. *)
 val sink : t -> Event_sink.t
 
+(** [previous] is the location's color before the change, [-1] for an
+    unconfigured location (the event carries it as [None]). *)
 val record_reconfig :
   t -> round:int -> mini_round:int -> location:int ->
-  previous:Types.color option -> next:Types.color -> unit
+  previous:Types.color -> next:Types.color -> unit
 
 (** A Configure that paid [Delta] but left [previous] in place (fault
     injection): counts toward {!reconfig_count} and
     {!failed_reconfig_count}. *)
 val record_failed_reconfig :
   t -> round:int -> mini_round:int -> location:int ->
-  previous:Types.color option -> attempted:Types.color -> unit
+  previous:Types.color -> attempted:Types.color -> unit
 
 val record_drop : t -> round:int -> color:Types.color -> count:int -> unit
 

@@ -5,3 +5,9 @@
 let src = Logs.Src.create "rrs" ~doc:"Reconfigurable resource scheduling"
 
 include (val Logs.src_log src : Logs.LOG)
+
+(** Whether debug messages are emitted: hot loops test it before
+    building a message closure, which would allocate even when the level
+    is off. *)
+let debug_enabled () =
+  match Logs.Src.level src with Some Logs.Debug -> true | _ -> false

@@ -7,26 +7,39 @@
     per location whose color changes — policies can never mis-account
     reconfiguration cost.
 
-    Conventions:
-    - [Some c] at a location in the target makes the location active on
-      color [c]: it is recolored (cost [Delta]) unless it already holds
-      [c], and executes up to one pending [c] job this mini-round.
-    - [None] in the target means inactive: the location executes nothing;
+    Colors are plain ints on both sides of the contract, and every buffer
+    that crosses it belongs to the engine and is reused round after
+    round, so a policy that keeps its own scratch space preallocated runs
+    a steady-state round without allocating:
+
+    - [reconfigure] writes its target into the engine's [target] array
+      (length [view.n], filled with [-1] before each call). A color [c]
+      at a location makes the location active on [c]: it is recolored
+      (cost [Delta]) unless it already holds [c], and executes up to one
+      pending [c] job this mini-round.
+    - [-1] in the target means inactive: the location executes nothing;
       its physical color persists, so resuming the same color later is
       free — a legal schedule in the paper's cost model (execution is
       "up to one job"), and never more expensive than the paper's own
-      accounting, which charges every cache re-entry.
-    - The [view] given to [reconfigure] is read-only; policies must not
-      mutate [view.assignment] (the physical colors) or [view.pool]. *)
+      accounting, which charges every cache re-entry. Any other value
+      outside [0 .. colors - 1] is rejected by the engine.
+    - [view.assignment] holds the physical colors, [-1] for a location
+      that was never configured (or lost its color in a crash).
+    - [on_drop] reads the round's drops from the pool's drop buffer
+      ({!Job_pool.drops}), valid only during the call.
+    - The [view], its [assignment] and [pool], and the drop buffer are
+      read-only; policies must not mutate them or keep them past the
+      call. The engine updates [view.round] and [view.mini_round] in
+      place between calls. *)
 
 type view = {
-  round : int;
-  mini_round : int; (* 0 for uni-speed; 0,1 for double-speed (Section 3.3) *)
+  mutable round : int;
+  mutable mini_round : int; (* 0 for uni-speed; 0,1 for double-speed (Section 3.3) *)
   n : int; (* number of locations (resources) *)
   delta : int;
   bounds : int array; (* per-color delay bounds *)
-  assignment : Types.color option array; (* current configuration; read-only *)
-  pool : Job_pool.t; (* pending jobs; read-only *)
+  assignment : Types.color array; (* current configuration, -1 = none *)
+  pool : Job_pool.t; (* pending jobs *)
 }
 
 module type POLICY = sig
@@ -37,14 +50,14 @@ module type POLICY = sig
 
   (** Called after the engine's drop phase of each round with the jobs it
       dropped (per color). Policies update eligibility here. *)
-  val on_drop : t -> round:int -> dropped:(Types.color * int) list -> unit
+  val on_drop : t -> round:int -> dropped:Job_pool.drops -> unit
 
   (** Called after the arrival phase with the (normalized) request. *)
   val on_arrival : t -> round:int -> request:Types.request -> unit
 
-  (** The desired assignment for this mini-round; must have length
-      [view.n]. *)
-  val reconfigure : t -> view -> Types.color option array
+  (** Write the desired assignment for this mini-round into [target]
+      (length [view.n], arriving filled with [-1]). *)
+  val reconfigure : t -> view -> target:Types.color array -> unit
 
   (** Algorithm-specific counters exposed for experiments (epochs, wraps,
       eligible/ineligible drop split, ...). *)

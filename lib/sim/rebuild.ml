@@ -15,15 +15,16 @@ let rebuild ~instance ~n ~speed ~actions =
   let bounds = instance.bounds in
   let pool = Job_pool.create ~num_colors:(Array.length bounds) in
   let ledger = Ledger.create ~record_events:true ~delta:instance.delta () in
-  let assignment = Array.make n None in
+  let assignment = Array.make n (-1) in
   let pending_actions = ref actions in
   try
     let fail fmt = Printf.ksprintf (fun s -> raise (Rebuild_error s)) fmt in
     for round = 0 to instance.horizon - 1 do
       let dropped = Job_pool.drop_expired pool ~round in
-      List.iter
-        (fun (color, count) -> Ledger.record_drop ledger ~round ~color ~count)
-        dropped;
+      for i = 0 to dropped.length - 1 do
+        let color = dropped.colors.(i) in
+        Ledger.record_drop ledger ~round ~color ~count:dropped.jobs.(color)
+      done;
       List.iter
         (fun (color, count) ->
           Job_pool.add pool ~color ~deadline:(round + bounds.(color)) ~count)
@@ -45,10 +46,10 @@ let rebuild ~instance ~n ~speed ~actions =
                   if location < 0 || location >= n then
                     fail "round %d.%d: configure at bad location %d" round
                       mini_round location;
-                  if assignment.(location) <> Some color then begin
+                  if assignment.(location) <> color then begin
                     Ledger.record_reconfig ledger ~round ~mini_round ~location
                       ~previous:assignment.(location) ~next:color;
-                    assignment.(location) <- Some color
+                    assignment.(location) <- color
                   end;
                   consume `Configure
               | Configure _, `Run ->
@@ -59,21 +60,21 @@ let rebuild ~instance ~n ~speed ~actions =
                   if location < 0 || location >= n then
                     fail "round %d.%d: run at bad location %d" round mini_round
                       location;
-                  if assignment.(location) <> Some color then
+                  if assignment.(location) <> color then
                     fail "round %d.%d: run of color %d on location %d colored %s"
                       round mini_round color location
                       (match assignment.(location) with
-                      | None -> "black"
-                      | Some c -> string_of_int c);
+                      | -1 -> "black"
+                      | c -> string_of_int c);
                   if used.(location) then
                     fail "round %d.%d: location %d executes twice" round
                       mini_round location;
                   used.(location) <- true;
                   (match Job_pool.execute_one pool ~color ~round with
-                  | None ->
+                  | -1 ->
                       fail "round %d.%d: no pending job of color %d" round
                         mini_round color
-                  | Some deadline ->
+                  | deadline ->
                       Ledger.record_execute ledger ~round ~mini_round ~location
                         ~color ~deadline);
                   consume `Run)

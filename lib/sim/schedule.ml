@@ -76,7 +76,9 @@ let validate t =
     in
     take_faults ();
     (* Drop phase. *)
-    let expected_drops = Job_pool.drop_expired pool ~round in
+    let expected_drops =
+      Job_pool.drops_to_list (Job_pool.drop_expired pool ~round)
+    in
     let rec take_drops acc =
       match !events with
       | Ledger.Drop { round = r; color; count } :: rest when r = round ->
@@ -175,9 +177,9 @@ let validate t =
                   err "round %d.%d: black location %d executes color %d" round
                     mini_round location color);
               match Job_pool.execute_one pool ~color ~round with
-              | None -> err "round %d.%d: phantom execution of color %d" round
-                          mini_round color
-              | Some d ->
+              | -1 -> err "round %d.%d: phantom execution of color %d" round
+                        mini_round color
+              | d ->
                   if d <> deadline then
                     err
                       "round %d.%d: execution of color %d records deadline %d, \

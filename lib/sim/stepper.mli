@@ -81,7 +81,7 @@ type result = {
   ledger : Ledger.t;
   stats : (string * int) list;
       (* policy-reported counters, then the probe snapshot (if any) *)
-  final_assignment : Types.color option array;
+  final_assignment : Types.color array; (** -1 = unconfigured *)
   profile : Rrs_obs.Profile.t option;
 }
 
@@ -165,8 +165,8 @@ val policy_name : t -> string
 val config : t -> config
 val finished : t -> bool
 
-(** Copy of the current physical assignment. *)
-val assignment : t -> Types.color option array
+(** Copy of the current physical assignment ([-1] = unconfigured). *)
+val assignment : t -> Types.color array
 
 (** The checkpoint interval this stepper was created with (0 = never). *)
 val checkpoint_every : t -> int

@@ -1,11 +1,10 @@
 (* Data-structure substrate tests: binary heap, top-k selection, timing
-   wheel, counter map, ring deque. *)
+   wheel, counter map. *)
 
 module Int_heap = Rrs_ds.Binary_heap.Make (Int)
 module Topk = Rrs_ds.Topk
 module Timing_wheel = Rrs_ds.Timing_wheel
 module Counter_map = Rrs_ds.Counter_map
-module Ring_deque = Rrs_ds.Ring_deque
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -79,27 +78,37 @@ let prop_heap_pop_order =
 
 (* ---- Topk ---- *)
 
+(* Select among [src] by [keys], returning the chosen elements. *)
+let topk ~keys ~k src =
+  let src = Array.of_list src in
+  let dst = Array.make (Array.length src) (-1) in
+  let m = Topk.select ~keys ~k src ~len:(Array.length src) dst in
+  Array.to_list (Array.sub dst 0 m)
+
 let test_topk_basic () =
-  check_list "3 smallest" [ 1; 2; 3 ]
-    (Topk.select_list ~compare:Int.compare ~k:3 [ 7; 3; 9; 1; 5; 2 ]);
-  check_list "k larger than list" [ 1; 3 ]
-    (Topk.select_list ~compare:Int.compare ~k:10 [ 3; 1 ]);
-  check_list "k zero" [] (Topk.select_list ~compare:Int.compare ~k:0 [ 1; 2 ]);
-  check_list "k negative" [] (Topk.select_list ~compare:Int.compare ~k:(-1) [ 1 ])
+  let keys = Array.init 10 Fun.id in
+  check_list "3 smallest" [ 1; 2; 3 ] (topk ~keys ~k:3 [ 7; 3; 9; 1; 5; 2 ]);
+  check_list "k larger than list" [ 1; 3 ] (topk ~keys ~k:10 [ 3; 1 ]);
+  check_list "k zero" [] (topk ~keys ~k:0 [ 1; 2 ]);
+  check_list "k negative" [] (topk ~keys ~k:(-1) [ 1 ])
 
 let test_topk_reverse_order () =
-  let compare a b = Int.compare b a in
-  check_list "3 largest" [ 9; 7; 5 ]
-    (Topk.select_list ~compare ~k:3 [ 7; 3; 9; 1; 5; 2 ])
+  let keys = Array.init 10 (fun x -> -x) in
+  check_list "3 largest" [ 9; 7; 5 ] (topk ~keys ~k:3 [ 7; 3; 9; 1; 5; 2 ])
 
 let prop_topk_matches_sort =
   QCheck2.Test.make ~name:"topk: equals sorted prefix" ~count:300
-    QCheck2.Gen.(pair (list (int_bound 500)) (int_bound 12))
-    (fun (xs, k) ->
+    QCheck2.Gen.(
+      triple (array_size (return 64) (int_bound 20)) (list (int_bound 63))
+        (int_bound 12))
+    (fun (keys, xs, k) ->
+      (* Distinct elements, keys with ties: equal keys keep source order. *)
+      let xs = List.sort_uniq Int.compare xs |> List.rev in
       let expected =
-        List.sort Int.compare xs |> List.filteri (fun i _ -> i < k)
+        List.stable_sort (fun a b -> Int.compare keys.(a) keys.(b)) xs
+        |> List.filteri (fun i _ -> i < k)
       in
-      Topk.select_list ~compare:Int.compare ~k xs = expected)
+      topk ~keys ~k xs = expected)
 
 (* ---- Timing wheel ---- *)
 
@@ -242,69 +251,6 @@ let prop_counter_map_total =
       Counter_map.total m = List.fold_left (fun acc (_, c) -> acc + c) 0 pairs
       && List.for_all (fun (_, c) -> c > 0) (Counter_map.to_list m))
 
-(* ---- Ring deque ---- *)
-
-let test_deque_fifo () =
-  let q = Ring_deque.create () in
-  List.iter (Ring_deque.push_back q) [ 1; 2; 3 ];
-  check "pop front" 1 (Ring_deque.pop_front q);
-  check "pop front" 2 (Ring_deque.pop_front q);
-  Ring_deque.push_back q 4;
-  check_list "to_list" [ 3; 4 ] (Ring_deque.to_list q)
-
-let test_deque_both_ends () =
-  let q = Ring_deque.create ~capacity:2 () in
-  Ring_deque.push_front q 2;
-  Ring_deque.push_front q 1;
-  Ring_deque.push_back q 3;
-  check_list "order" [ 1; 2; 3 ] (Ring_deque.to_list q);
-  check "pop back" 3 (Ring_deque.pop_back q);
-  check "peek front" 1 (Ring_deque.peek_front q);
-  check "peek back" 2 (Ring_deque.peek_back q)
-
-let test_deque_wraparound_growth () =
-  let q = Ring_deque.create ~capacity:2 () in
-  for i = 1 to 50 do
-    Ring_deque.push_back q i;
-    if i mod 3 = 0 then ignore (Ring_deque.pop_front q)
-  done;
-  check "length" (50 - 16) (Ring_deque.length q);
-  check "front" 17 (Ring_deque.peek_front q)
-
-let test_deque_empty_errors () =
-  let q = Ring_deque.create () in
-  Alcotest.check_raises "pop_front" Not_found (fun () ->
-      ignore (Ring_deque.pop_front q));
-  Alcotest.(check (option int)) "opt" None (Ring_deque.pop_back_opt q)
-
-let prop_deque_mirrors_list =
-  QCheck2.Test.make ~name:"deque: mirrors a model list under random ops" ~count:200
-    QCheck2.Gen.(list (pair (int_bound 3) (int_bound 100)))
-    (fun ops ->
-      let q = Ring_deque.create ~capacity:1 () in
-      let model = ref [] in
-      List.iter
-        (fun (op, x) ->
-          match op with
-          | 0 ->
-              Ring_deque.push_back q x;
-              model := !model @ [ x ]
-          | 1 ->
-              Ring_deque.push_front q x;
-              model := x :: !model
-          | 2 -> (
-              match (Ring_deque.pop_front_opt q, !model) with
-              | Some y, z :: rest when y = z -> model := rest
-              | None, [] -> ()
-              | _ -> failwith "mismatch")
-          | _ -> (
-              match (Ring_deque.pop_back_opt q, List.rev !model) with
-              | Some y, z :: rest when y = z -> model := List.rev rest
-              | None, [] -> ()
-              | _ -> failwith "mismatch"))
-        ops;
-      Ring_deque.to_list q = !model)
-
 let quick name f = Alcotest.test_case name `Quick f
 let prop p = QCheck_alcotest.to_alcotest p
 
@@ -343,13 +289,5 @@ let suite =
         quick "remove_min" test_counter_map_remove_min;
         quick "error cases" test_counter_map_errors;
         prop prop_counter_map_total;
-      ] );
-    ( "ds.ring_deque",
-      [
-        quick "fifo" test_deque_fifo;
-        quick "both ends" test_deque_both_ends;
-        quick "wraparound growth" test_deque_wraparound_growth;
-        quick "empty errors" test_deque_empty_errors;
-        prop prop_deque_mirrors_list;
       ] );
   ]

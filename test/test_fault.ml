@@ -31,7 +31,8 @@ let greedy_policy : (module Rrs_sim.Policy.POLICY) =
     let create ~n:_ ~delta:_ ~bounds:_ = ()
     let on_drop _ ~round:_ ~dropped:_ = ()
     let on_arrival _ ~round:_ ~request:_ = ()
-    let reconfigure () (view : Rrs_sim.Policy.view) = Array.make view.n (Some 0)
+    let reconfigure () (_ : Rrs_sim.Policy.view) ~target =
+      Array.fill target 0 (Array.length target) 0
     let stats () = []
     let serialize () = "{}"
     let deserialize () _ = ()
@@ -266,10 +267,10 @@ let crashing_policy ~crash_round : (module Rrs_sim.Policy.POLICY) =
     let on_drop = P.on_drop
     let on_arrival = P.on_arrival
 
-    let reconfigure t view =
+    let reconfigure t view ~target =
       if view.Rrs_sim.Policy.round >= crash_round then
         failwith "policy exploded";
-      P.reconfigure t view
+      P.reconfigure t view ~target
 
     let stats = P.stats
     let serialize = P.serialize

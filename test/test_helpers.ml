@@ -96,15 +96,14 @@ module Spy (P : Rrs_sim.Policy.POLICY) = struct
   let on_drop t ~round ~dropped = P.on_drop t.inner ~round ~dropped
   let on_arrival t ~round ~request = P.on_arrival t.inner ~round ~request
 
-  let reconfigure t view =
-    let target = P.reconfigure t.inner view in
+  let reconfigure t view ~target =
+    P.reconfigure t.inner view ~target;
     let counts = Hashtbl.create 16 in
     Array.iter
-      (function
-        | Some c ->
-            Hashtbl.replace counts c
-              (1 + try Hashtbl.find counts c with Not_found -> 0)
-        | None -> ())
+      (fun c ->
+        if c >= 0 then
+          Hashtbl.replace counts c
+            (1 + try Hashtbl.find counts c with Not_found -> 0))
       target;
     t.max_distinct <- max t.max_distinct (Hashtbl.length counts);
     Hashtbl.iter
@@ -112,8 +111,7 @@ module Spy (P : Rrs_sim.Policy.POLICY) = struct
         if k <> !(t.copies) then
           t.replication_violations <- t.replication_violations + 1)
       counts;
-    t.observations <- t.observations + 1;
-    target
+    t.observations <- t.observations + 1
 
   let stats t =
     ("spy_max_distinct", t.max_distinct)
@@ -131,3 +129,10 @@ let stat stats key =
   match List.assoc_opt key stats with
   | Some v -> v
   | None -> Alcotest.failf "missing stat %s" key
+
+(* The drop buffer a pool would hand [on_drop] for [pairs] (ascending
+   colors). *)
+let drops ~num_colors pairs : Rrs_sim.Job_pool.drops =
+  let jobs = Array.make num_colors 0 in
+  List.iter (fun (color, count) -> jobs.(color) <- count) pairs;
+  { colors = Array.of_list (List.map fst pairs); length = List.length pairs; jobs }
