@@ -131,7 +131,7 @@ let create ~name ~policy:policy_key ?(queue_limit = 0) ?snap_version
           let trace, sink = open_trace trace_dir name in
           let probes = Probe.create_registry () in
           match
-            Stepper.create ?sink ~probes ~checkpoint_every
+            Stepper.create ?sink ~record_events:false ~probes ~checkpoint_every
               ~label:("session " ^ name) ~policy config
           with
           | stepper ->
@@ -143,6 +143,9 @@ let create ~name ~policy:policy_key ?(queue_limit = 0) ?snap_version
               Error message))
 
 let name t = t.name
+
+let retained_events t =
+  Rrs_sim.Event_sink.retained (Rrs_sim.Ledger.sink (Stepper.ledger t.stepper))
 let policy_key t = t.policy_key
 let queue_limit t = t.queue_limit
 let snap_version t = t.snap_version
@@ -546,7 +549,7 @@ let restore ?trace_dir ?snap_version ?checkpoint_every text =
                             let trace, sink = open_trace trace_dir name in
                             let probes = Probe.create_registry () in
                             match
-                              Stepper.restore ?sink ~probes
+                              Stepper.restore ?sink ~record_events:false ~probes
                                 ?checkpoint_every:checkpoint_override
                                 ~label:("session " ^ name) ~policy rest
                             with

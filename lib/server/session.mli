@@ -60,6 +60,11 @@ val create :
   (t, string) result
 
 val name : t -> string
+
+(** Events the session's ledger holds in memory. Always 0: without a
+    trace directory the ledger keeps counters only, and with one it
+    streams every event to the session's trace file. *)
+val retained_events : t -> int
 val policy_key : t -> string
 val queue_limit : t -> int
 

@@ -82,6 +82,10 @@ let record t event =
   | Memory events -> events := event :: !events
   | Jsonl channel -> write_line channel (event_line event)
 
+let retained = function
+  | Null | Jsonl _ -> 0
+  | Memory events -> List.length !events
+
 let events = function
   | Null | Jsonl _ -> []
   | Memory events -> List.rev !events

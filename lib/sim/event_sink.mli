@@ -72,6 +72,9 @@ val memory : unit -> t
     no-op on [Null]. *)
 val record : t -> event -> unit
 
+(** How many events the sink holds in memory (0 unless [Memory]). *)
+val retained : t -> int
+
 (** Retained events in chronological order ([] for [Null] and [Jsonl]).*)
 val events : t -> event list
 

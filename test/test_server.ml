@@ -1004,6 +1004,61 @@ let test_session_save_failure_cleans_tmp () =
     (Sys.file_exists (target ^ ".tmp"));
   Session.release session
 
+(* ---- regression: a served session without a trace directory keeps
+   no events in memory (they used to pile up in a Memory sink nothing
+   read, ~0.8 KB per round) ---- *)
+
+let test_session_keeps_no_events () =
+  let config = session_config ~name:"lean" () in
+  let session =
+    match Session.create ~name:"lean" ~policy:"dlru-edf" config with
+    | Ok s -> s
+    | Error m -> Alcotest.fail m
+  in
+  (* The same feeds through a plain recording stepper: the reference
+     counters. *)
+  let reference =
+    Stepper.create ~policy:(module Rrs_core.Policy_lru_edf) config
+  in
+  let drive session rounds =
+    for round = 0 to rounds - 1 do
+      let colors = [| round mod 3; (round + 1) mod 3 |] and counts = [| 2; 1 |] in
+      (match Session.feed session ~colors ~counts with
+      | Ok (Session.Accepted _) -> ()
+      | Ok _ -> Alcotest.fail "unexpected shed"
+      | Error m -> Alcotest.fail m);
+      Stepper.feed reference [ (colors.(0), counts.(0)); (colors.(1), counts.(1)) ];
+      (match Session.step session ~rounds:1 with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail m);
+      Stepper.step reference
+    done
+  in
+  let same_counters session =
+    let st = Session.stats session and l = Stepper.ledger reference in
+    check "round" (Stepper.round reference) st.Session.st_round;
+    check "execs" (Ledger.exec_count l) st.st_execs;
+    check "drops" (Ledger.drop_count l) st.st_drops;
+    check "reconfigs" (Ledger.reconfig_count l) st.st_reconfigs;
+    check "cost" (Ledger.total_cost l) st.st_cost;
+    check "pending" (Stepper.pool_pending reference) st.st_pending
+  in
+  drive session 300;
+  check "created session holds no events" 0 (Session.retained_events session);
+  check_bool "the reference recorded events" true
+    (Rrs_sim.Event_sink.retained (Ledger.sink (Stepper.ledger reference)) > 0);
+  same_counters session;
+  let restored =
+    match Session.restore (Session.snapshot session) with
+    | Ok s -> s
+    | Error m -> Alcotest.fail m
+  in
+  Session.release session;
+  drive restored 300;
+  check "restored session holds no events" 0 (Session.retained_events restored);
+  same_counters restored;
+  Session.release restored
+
 (* ---- regression: restore validates embedded names, first snapshot
    wins a collision ---- *)
 
@@ -1989,6 +2044,8 @@ let suite =
           test_session_save_failure_cleans_tmp;
         Alcotest.test_case "restore rejects mixed snapshot versions" `Quick
           test_restore_rejects_mixed_versions;
+        Alcotest.test_case "no in-memory events without a trace" `Quick
+          test_session_keeps_no_events;
       ] );
     ( "server.stepper",
       [
