@@ -15,20 +15,34 @@ let make ?(name = "instance") ?horizon ~delta ~bounds ~arrivals () =
         invalid_arg (Printf.sprintf "Instance.make: bound of color %d is %d" c d))
     bounds;
   let num_colors = Array.length bounds in
-  let arrivals =
-    List.map (fun (round, request) -> (round, Types.normalize_request request)) arrivals
-  in
+  (* One validation pass. A negative count anywhere wins; otherwise the
+     first arrival with a negative round or an unknown color is reported,
+     naming its smallest unknown color that carries jobs. *)
+  let first_error = ref None in
   let max_deadline = ref 0 in
   List.iter
     (fun (round, request) ->
-      if round < 0 then invalid_arg "Instance.make: negative round";
+      let unknown = ref None in
       List.iter
-        (fun (color, _count) ->
-          if color < 0 || color >= num_colors then
-            invalid_arg (Printf.sprintf "Instance.make: unknown color %d" color);
-          max_deadline := max !max_deadline (round + bounds.(color)))
-        request)
+        (fun (color, count) ->
+          if count < 0 then invalid_arg "Types.normalize_request: negative count";
+          if count > 0 then
+            if color < 0 || color >= num_colors then
+              (match !unknown with
+              | Some c when c <= color -> ()
+              | _ -> unknown := Some color)
+            else max_deadline := max !max_deadline (round + bounds.(color)))
+        request;
+      if !first_error = None then
+        if round < 0 then first_error := Some "Instance.make: negative round"
+        else
+          Option.iter
+            (fun color ->
+              first_error :=
+                Some (Printf.sprintf "Instance.make: unknown color %d" color))
+            !unknown)
     arrivals;
+  Option.iter invalid_arg !first_error;
   let horizon =
     match horizon with
     | None -> max 1 (!max_deadline + 1)
@@ -39,11 +53,23 @@ let make ?(name = "instance") ?horizon ~delta ~bounds ~arrivals () =
                !max_deadline);
         h
   in
+  (* Push every pair that carries jobs (newest first), then normalize each
+     round once, in arrival order: an already-normalized round — one
+     arrival, or arrivals by ascending color — costs a scan, not a sort. *)
   let requests = Array.make horizon [] in
   List.iter
     (fun (round, request) ->
-      requests.(round) <- Types.normalize_request (requests.(round) @ request))
+      List.iter
+        (fun ((_, count) as pair) ->
+          if count > 0 then requests.(round) <- pair :: requests.(round))
+        request)
     arrivals;
+  Array.iteri
+    (fun round pushed ->
+      match pushed with
+      | [] | [ _ ] -> ()
+      | _ -> requests.(round) <- Types.normalize_request (List.rev pushed))
+    requests;
   { name; delta; bounds; requests; horizon }
 
 let num_colors t = Array.length t.bounds

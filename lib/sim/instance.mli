@@ -17,10 +17,19 @@ type t = private {
     arrivals [(round, request)]. Requests are normalized; the horizon is
     [max (round + D_color) + 1] over all arriving jobs (at least 1), or
     the explicit [horizon] if given (it must cover every deadline).
+    Several arrivals at one round merge into that round's request; an
+    arrival without jobs is ignored, wherever its round lies.
+
+    Runs in time linear in the number of [(color, count)] pairs and the
+    horizon, plus one sort per round whose pairs, in arrival order, are
+    not already normalized (strictly ascending colors): a round fed one
+    arrival, or arrivals by ascending color, costs a scan.
 
     @raise Invalid_argument on: [delta < 1], an empty [bounds] array, a
-    bound [< 1], a negative round, a color outside [0, #colors), or a
-    horizon that truncates deadlines. *)
+    bound [< 1], a negative count (checked across all arrivals first), a
+    negative round or a color outside [0, #colors) that carries jobs (the
+    first offending arrival is reported: its round, else its smallest
+    unknown color), or a horizon that truncates deadlines. *)
 val make :
   ?name:string ->
   ?horizon:int ->

@@ -260,14 +260,6 @@ let buffered_request t =
   | [] -> t.fed
   | more -> List.concat (t.fed :: List.rev more)
 
-(* Already-normalized requests (strictly ascending colors, positive
-   counts — everything [Instance.make] produces) are consumed as-is, so
-   the [Engine.run] fast path pays one short list scan and no allocation. *)
-let rec is_normalized prev = function
-  | [] -> true
-  | (color, count) :: rest ->
-      count > 0 && color > prev && is_normalized color rest
-
 let idle_mark = { Profile.mark_s = 0.0; mark_minor = 0.0 }
 
 (* Phase timing, a no-op unless the stepper profiles. *)
@@ -446,12 +438,9 @@ let step t =
   tick t 0 m0;
   (* Arrival phase: consume the fed buffer. *)
   let m1 = mark t in
-  let request =
-    match buffered_request t with
-    | [] -> []
-    | request when is_normalized (-1) request -> request
-    | request -> Types.normalize_request request
-  in
+  (* An already-normalized request (everything [Instance.make] produces)
+     is consumed as is: one short scan, no allocation. *)
+  let request = Types.normalize_request (buffered_request t) in
   t.fed <- [];
   t.fed_more <- [];
   t.buffered_jobs <- 0;

@@ -15,17 +15,26 @@ let phase_to_string = function
   | Reconfiguration -> "reconfiguration"
   | Execution -> "execution"
 
+let rec is_normalized prev = function
+  | [] -> true
+  | (color, count) :: rest ->
+      count > 0 && color > prev && is_normalized color rest
+
+(* A normalized request comes back as is. Otherwise the pairs are
+   sorted by descending color, so that folding them onto an empty list
+   merges equal colors and leaves the result ascending, with no final
+   reversal. *)
 let normalize_request request =
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun (color, count) ->
-      if count < 0 then invalid_arg "Types.normalize_request: negative count";
-      if count > 0 then
-        let current = try Hashtbl.find table color with Not_found -> 0 in
-        Hashtbl.replace table color (current + count))
-    request;
-  Hashtbl.fold (fun color count acc -> (color, count) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  if is_normalized min_int request then request
+  else
+    List.stable_sort (fun (a, _) (b, _) -> Int.compare b a) request
+    |> List.fold_left
+         (fun acc ((color, count) as pair) ->
+           if count < 0 then invalid_arg "Types.normalize_request: negative count";
+           match acc with
+           | (c, k) :: rest when c = color -> (c, k + count) :: rest
+           | _ -> if count = 0 then acc else pair :: acc)
+         []
 
 let request_size request =
   List.fold_left (fun acc (_, count) -> acc + count) 0 request

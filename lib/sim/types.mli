@@ -27,7 +27,10 @@ type phase = Drop | Arrival | Reconfiguration | Execution
 val phase_to_string : phase -> string
 
 (** Normalize a request: merge duplicate colors, drop zero counts, sort by
-    color. @raise Invalid_argument on a negative count. *)
+    color. A request that is already normalized (strictly ascending
+    colors, positive counts) is returned as is, physically, after one
+    scan and no allocation; any other costs one sort.
+    @raise Invalid_argument on a negative count. *)
 val normalize_request : request -> request
 
 (** Total number of jobs in a request. *)

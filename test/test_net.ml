@@ -119,11 +119,17 @@ let test_worker_loop_closes_fd_when_serve_raises () =
 
 (* ---- close-on-exec across Shard children ---- *)
 
+(* Sockets the process holds beyond stdio. Fds 0-2 are inherited on
+   purpose, and are sockets whenever the test binary's own stdio is. *)
 let proc_socket_fds pid =
   let dir = Printf.sprintf "/proc/%d/fd" pid in
   match Sys.readdir dir with
   | entries ->
       Array.to_list entries
+      |> List.filter (fun entry ->
+             match int_of_string_opt entry with
+             | Some fd -> fd > 2
+             | None -> false)
       |> List.filter_map (fun entry ->
              match Unix.readlink (Filename.concat dir entry) with
              | target

@@ -49,16 +49,6 @@ let test_large_distribute_bursts () =
         (Rrs_core.Distribute.cost result
         <= Ledger.total_cost result.inner.ledger)
 
-let test_timing_wheel_long_horizon () =
-  let wheel = Rrs_ds.Timing_wheel.create ~horizon:4 () in
-  let n = 50_000 in
-  for i = 1 to n do
-    Rrs_ds.Timing_wheel.add wheel ~time:(i * 7 mod 65_536) i
-  done;
-  let fired = ref 0 in
-  Rrs_ds.Timing_wheel.advance wheel ~time:65_536 (fun _ _ -> incr fired);
-  check "all fired" n !fired
-
 let test_deep_adversary () =
   (* Appendix A at depth: 2^12-round horizon. *)
   let adv = Rrs_workload.Adversary.lru_killer ~n:8 ~delta:2 ~j:8 ~k:12 in
@@ -79,7 +69,6 @@ let suite =
         quick "large direct run (64 colors, 4096 rounds)" test_large_direct_run;
         quick "large varbatch pipeline" test_large_varbatch_pipeline;
         quick "large distribute with bursts" test_large_distribute_bursts;
-        quick "timing wheel long horizon" test_timing_wheel_long_horizon;
         quick "deep appendix-A adversary" test_deep_adversary;
       ] );
   ]

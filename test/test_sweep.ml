@@ -102,6 +102,69 @@ let test_run_matches_engine () =
       check "drops" (Ledger.drop_count result.ledger) o.drop_count;
       check "execs" (Ledger.exec_count result.ledger) o.exec_count
 
+(* A policy that raises on its first reconfigure. *)
+module Crashy : Rrs_sim.Policy.POLICY = struct
+  include Rrs_core.Policy_lru
+
+  let name = "crashy"
+  let reconfigure _ _ ~target:_ = failwith "injected crash"
+end
+
+let test_run_results_isolates_crashes () =
+  let crashy =
+    List.map
+      (fun seed ->
+        let instance =
+          Rrs_workload.Random_workloads.uniform ~seed ~colors:6 ~delta:2
+            ~bound_log_range:(0, 3) ~horizon:64 ~load:0.8 ~rate_limited:true ()
+        in
+        Sweep.task
+          ~key:(Printf.sprintf "crashy/seed=%d" seed)
+          ~policy:(module Crashy) ~n:4 instance)
+      [ 1; 2 ]
+  in
+  let tasks = grid () @ crashy in
+  let results = Sweep.run_results ~domains:2 tasks in
+  let outcomes = List.filter_map Result.to_option results in
+  let failures =
+    List.filter_map (function Ok _ -> None | Error f -> Some f) results
+  in
+  Alcotest.(check (list string))
+    "survivors give outcomes"
+    (List.map (fun (t : Sweep.task) -> t.key) (grid ()))
+    (List.map (fun (o : Sweep.outcome) -> o.key) outcomes);
+  Alcotest.(check (list string))
+    "failures carry their task keys"
+    (List.map (fun (t : Sweep.task) -> t.key) crashy)
+    (List.map (fun (f : Sweep.failure) -> f.key) failures);
+  List.iter
+    (fun (f : Sweep.failure) ->
+      check_string "failure message" {|Failure("injected crash")|} f.exn_text;
+      check_bool "attempts >= 1" true (f.attempts >= 1))
+    failures;
+  let b = Bench_io.create ~tag:"crash" in
+  Bench_io.start_experiment b ~id:"sweep" ~claim:"crash isolation";
+  List.iter
+    (fun (o : Sweep.outcome) ->
+      Bench_io.record_outcome b ~workload:o.key ~policy:"p" o)
+    outcomes;
+  List.iter (Bench_io.record_failure b) failures;
+  let json = Bench_io.to_string b in
+  check_bool "schema version" true (contains json {|"schema": "rrs-bench/3"|});
+  check_bool "errors array" true (contains json {|"errors": [{"key": "crashy/seed=1"|});
+  List.iter
+    (fun (f : Sweep.failure) ->
+      check_bool ("error entry for " ^ f.key) true
+        (contains json
+           (Printf.sprintf
+              {|{"key": "%s", "error": "Failure(\"injected crash\")", "attempts": %d}|}
+              f.key f.attempts)))
+    failures;
+  check_bool "surviving runs counted" true
+    (contains json
+       (Printf.sprintf {|"totals": {"experiments": 1, "runs": %d|}
+          (List.length outcomes)))
+
 (* ---- Bench_io ---- *)
 
 let test_tag_of_path () =
@@ -152,6 +215,8 @@ let suite =
         quick "submission order" test_run_submission_order;
         quick "parallel matches sequential" test_run_parallel_matches_sequential;
         quick "outcome matches a direct engine run" test_run_matches_engine;
+        quick "crashing tasks are isolated and reported"
+          test_run_results_isolates_crashes;
       ] );
     ( "stats.bench_io",
       [
