@@ -1,11 +1,79 @@
-(* Data-structure substrate tests: top-k selection, counter map. *)
+(* Data-structure substrate tests: binary heap, top-k selection, counter
+   map. *)
 
+module Int_heap = Rrs_ds.Binary_heap.Make (Int)
 module Topk = Rrs_ds.Topk
 module Counter_map = Rrs_ds.Counter_map
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_list = Alcotest.(check (list int))
+
+(* ---- Binary heap ---- *)
+
+let test_heap_empty () =
+  let h = Int_heap.create () in
+  check_bool "empty" true (Int_heap.is_empty h);
+  check "length" 0 (Int_heap.length h);
+  Alcotest.check_raises "peek raises" Not_found (fun () ->
+      ignore (Int_heap.peek_min h));
+  Alcotest.check_raises "pop raises" Not_found (fun () ->
+      ignore (Int_heap.pop_min h));
+  check_list "sorted empty" [] (Int_heap.to_sorted_list h)
+
+let test_heap_push_pop () =
+  let h = Int_heap.create () in
+  List.iter (Int_heap.push h) [ 5; 3; 8; 1; 9; 2 ];
+  check "length" 6 (Int_heap.length h);
+  check "min" 1 (Int_heap.peek_min h);
+  check "pop" 1 (Int_heap.pop_min h);
+  check "pop" 2 (Int_heap.pop_min h);
+  Int_heap.push h 0;
+  check "pop new min" 0 (Int_heap.pop_min h);
+  check_list "drain sorted" [ 3; 5; 8; 9 ] (Int_heap.to_sorted_list h)
+
+let test_heap_duplicates () =
+  let h = Int_heap.of_list [ 2; 2; 1; 1; 3 ] in
+  check_list "sorted with dups" [ 1; 1; 2; 2; 3 ] (Int_heap.to_sorted_list h);
+  check "length preserved" 5 (Int_heap.length h)
+
+let test_heap_of_list_invariant () =
+  let h = Int_heap.of_list [ 9; 4; 7; 1; 0; 8; 8; 2 ] in
+  check_bool "invariant" true (Int_heap.check_invariant h)
+
+let test_heap_clear () =
+  let h = Int_heap.of_list [ 1; 2; 3 ] in
+  Int_heap.clear h;
+  check "cleared" 0 (Int_heap.length h);
+  Int_heap.push h 7;
+  check "reusable" 7 (Int_heap.pop_min h)
+
+let test_heap_grow () =
+  let h = Int_heap.create ~capacity:1 () in
+  for i = 100 downto 1 do
+    Int_heap.push h i
+  done;
+  check "length" 100 (Int_heap.length h);
+  check_bool "invariant after growth" true (Int_heap.check_invariant h);
+  check "min" 1 (Int_heap.pop_min h)
+
+let prop_heap_sorts =
+  QCheck2.Test.make ~name:"heap: to_sorted_list sorts any list" ~count:200
+    QCheck2.Gen.(list (int_bound 1000))
+    (fun xs ->
+      let h = Int_heap.of_list xs in
+      Int_heap.to_sorted_list h = List.sort Int.compare xs)
+
+let prop_heap_pop_order =
+  QCheck2.Test.make ~name:"heap: pops are nondecreasing under interleaved pushes"
+    ~count:200
+    QCheck2.Gen.(list (int_bound 100))
+    (fun xs ->
+      let h = Int_heap.create () in
+      let sorted = List.sort Int.compare xs in
+      List.iter (Int_heap.push h) xs;
+      let drained = List.init (List.length xs) (fun _ -> Int_heap.pop_min h) in
+      drained = sorted && Int_heap.is_empty h)
 
 (* ---- Topk ---- *)
 
@@ -91,6 +159,17 @@ let prop p = QCheck_alcotest.to_alcotest p
 
 let suite =
   [
+    ( "ds.heap",
+      [
+        quick "empty heap" test_heap_empty;
+        quick "push/pop ordering" test_heap_push_pop;
+        quick "duplicates preserved" test_heap_duplicates;
+        quick "of_list heapifies" test_heap_of_list_invariant;
+        quick "clear and reuse" test_heap_clear;
+        quick "growth" test_heap_grow;
+        prop prop_heap_sorts;
+        prop prop_heap_pop_order;
+      ] );
     ( "ds.topk",
       [
         quick "basic selection" test_topk_basic;
